@@ -23,8 +23,10 @@ import (
 
 	"repro/internal/mitigate"
 	"repro/internal/obs"
+	"repro/internal/omprt"
 	"repro/internal/platform"
 	"repro/internal/sim"
+	"repro/internal/syclrt"
 	"repro/internal/trace"
 	"repro/internal/workloads"
 )
@@ -47,6 +49,14 @@ type goldenCase struct {
 	// with this CBS reservation (0 = fair class).
 	DLRuntimeNs int64
 	DLPeriodNs  int64
+	// Schedule/Chunk override the OpenMP loop schedule ("st", "dy", "gd"),
+	// and WGUnits the SYCL work-group size (zero = runtime defaults).
+	Schedule string
+	Chunk    int
+	WGUnits  int
+	// Threads, when positive, runs an explicit plan with this many team
+	// threads (the thread-sweep path) instead of deriving it from Strategy.
+	Threads int
 }
 
 func goldenCases() []goldenCase {
@@ -91,6 +101,22 @@ func goldenCases() []goldenCase {
 		{Name: "tiny-nbody-omp-deadline", Platform: "tiny-test", Workload: "nbody", Small: true,
 			Model: "omp", Strategy: "Rm", Reps: 2, Seed: 36,
 			DLRuntimeNs: 800_000, DLPeriodNs: 1_000_000},
+		// Runtime configurations off the default path: Figure 1's dynamic,
+		// guided and chunked-static schedules, a one-thread team (no
+		// region barriers) through an explicit plan, and multi-unit SYCL
+		// work-groups.
+		{Name: "tiny-schedbench-omp-dy", Platform: "tiny-test", Workload: "schedbench", Small: true,
+			Model: "omp", Strategy: "Rm", Tracing: true, Reps: 2, Seed: 41, Schedule: "dy"},
+		{Name: "tiny-schedbench-omp-gd", Platform: "tiny-test", Workload: "schedbench", Small: true,
+			Model: "omp", Strategy: "Rm", Reps: 2, Seed: 42, Schedule: "gd"},
+		{Name: "tiny-schedbench-omp-st8", Platform: "tiny-test", Workload: "schedbench", Small: true,
+			Model: "omp", Strategy: "Rm", Reps: 2, Seed: 43, Schedule: "st", Chunk: 8},
+		{Name: "tiny-nbody-omp-1thread", Platform: "tiny-test", Workload: "nbody", Small: true,
+			Model: "omp", Strategy: "Rm", Tracing: true, Reps: 2, Seed: 44, Threads: 1},
+		{Name: "tiny-nbody-sycl-1thread", Platform: "tiny-test", Workload: "nbody", Small: true,
+			Model: "sycl", Strategy: "Rm", Reps: 2, Seed: 45, Threads: 1},
+		{Name: "tiny-minife-sycl-wg4", Platform: "tiny-test", Workload: "minife", Small: true,
+			Model: "sycl", Strategy: "Rm", Tracing: true, Reps: 2, Seed: 46, WGUnits: 4},
 	}
 }
 
@@ -141,20 +167,47 @@ func (c goldenCase) spec(t *testing.T) Spec {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Spec{Platform: p, Workload: w, Model: c.Model, Strategy: strat,
+	spec := Spec{Platform: p, Workload: w, Model: c.Model, Strategy: strat,
 		Seed: c.Seed, Tracing: c.Tracing,
 		DLRuntime: sim.Time(c.DLRuntimeNs), DLPeriod: sim.Time(c.DLPeriodNs)}
+	if c.Schedule != "" {
+		cfg := omprt.DefaultConfig()
+		if cfg.Schedule, err = omprt.ParseSchedule(c.Schedule); err != nil {
+			t.Fatal(err)
+		}
+		cfg.Chunk = c.Chunk
+		spec.OMP = &cfg
+	}
+	if c.WGUnits > 0 {
+		cfg := syclrt.DefaultConfig()
+		cfg.WGUnits = c.WGUnits
+		spec.SYCL = &cfg
+	}
+	return spec
+}
+
+// plan returns the case's explicit execution plan, nil when the plan is
+// derived from the strategy.
+func (c goldenCase) plan(s Spec) *mitigate.Plan {
+	if c.Threads <= 0 {
+		return nil
+	}
+	return &mitigate.Plan{Strategy: s.Strategy, Threads: c.Threads, Allowed: s.Platform.Topo.UserMask()}
 }
 
 // batchRunner returns a RunOnce equivalent that executes every run in a
 // pooled batch world: fresh on a pool miss, forked back from a previous run
 // otherwise. Golden tests drive it to prove a warm world is byte-identical
 // to a cold one.
-func batchRunner(pool *WorldPool) func(Spec) (Result, error) {
+// A non-nil plan replaces the strategy-derived one.
+func batchRunner(pool *WorldPool, plan *mitigate.Plan) func(Spec) (Result, error) {
 	return func(s Spec) (Result, error) {
-		plan, err := mitigate.Apply(s.Strategy, s.Platform.Topo)
-		if err != nil {
-			return Result{}, err
+		plan := plan
+		if plan == nil {
+			var err error
+			if plan, err = mitigate.Apply(s.Strategy, s.Platform.Topo); err != nil {
+				return Result{}, err
+			}
 		}
 		k := worldKeyFor(s)
 		w := pool.get(k)
@@ -181,10 +234,14 @@ func runGoldenCase(t *testing.T, c goldenCase, parallelism int, withObs bool, po
 	}
 	exec := Executor{Parallelism: parallelism}
 	runOne := RunOnce
+	plan := c.plan(spec)
+	if plan != nil {
+		runOne = func(s Spec) (Result, error) { return runOnceWithPlan(s, plan) }
+	}
 	if pool != nil {
 		exec.Batch = BatchOn
 		exec.Worlds = pool
-		runOne = batchRunner(pool)
+		runOne = batchRunner(pool, plan)
 	}
 	if c.Inject {
 		pr, err := Pipeline{Spec: spec, CollectRuns: 6, Improved: true, Exec: exec}.Run()
@@ -362,5 +419,57 @@ func TestGoldenKernelBatch(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestGoldenTimelineDigest pins the exact bytes of the Perfetto (Chrome
+// trace-event JSON) export of one OpenMP and one SYCL run. The
+// parallel-region and kernel spans in it come from the master/host thread,
+// so any change to when or where the runtimes emit them shows up here. The
+// export is checked for a fresh run and for rep 0 of a batched series
+// delivered through OnTimeline.
+func TestGoldenTimelineDigest(t *testing.T) {
+	want := map[string]string{
+		"omp":  "55f99b49903c1f19",
+		"sycl": "19185625d48587b7",
+	}
+	digest := func(t *testing.T, rec *obs.Recorder) string {
+		t.Helper()
+		h := fnv.New64a()
+		if err := rec.WriteChromeJSON(h); err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf("%016x", h.Sum64())
+	}
+	for _, model := range Models {
+		t.Run(model, func(t *testing.T) {
+			spec := Spec{Platform: tinyPlatform(t), Workload: tinyWorkload(t, "nbody"),
+				Model: model, Strategy: mitigate.Rm, Seed: 51}
+			fresh := spec
+			fresh.Obs = &obs.Options{Timeline: true}
+			res, err := RunOnce(fresh)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := digest(t, res.Obs)
+			if os.Getenv("REPRO_UPDATE_GOLDEN") != "" {
+				t.Logf("%s timeline digest: %s", model, got)
+				return
+			}
+			if got != want[model] {
+				t.Errorf("fresh run timeline digest = %s, want %s", got, want[model])
+			}
+			var rec0 *obs.Recorder
+			e := Executor{Parallelism: 2, Batch: BatchOn, Obs: &ObsOptions{
+				Timeline:   true,
+				OnTimeline: func(r *obs.Recorder) { rec0 = r },
+			}}
+			if _, _, err := e.Series(context.Background(), spec, 3); err != nil {
+				t.Fatal(err)
+			}
+			if got := digest(t, rec0); got != want[model] {
+				t.Errorf("batched rep 0 timeline digest = %s, want %s", got, want[model])
+			}
+		})
 	}
 }
