@@ -71,8 +71,7 @@ func (e Executor) ClusterSeries(ctx context.Context, spec cluster.Spec, seed uin
 			res, err = cluster.Run(spec, seedAt(seed, i), rec)
 		}
 		if err != nil {
-			e.dumpFlight(i, rec, err)
-			return err
+			return repFailure{rec, err}
 		}
 		if i == 0 {
 			rec0 = rec

@@ -94,11 +94,12 @@ type ObsOptions struct {
 	// OnTimeline receives rep 0's recorder after a successful series when
 	// Timeline is set. Called once per series, on the series' goroutine.
 	OnTimeline func(*obs.Recorder)
-	// FlightSink, when non-nil, receives a flight-recorder dump (JSON) for
-	// every failed rep. Dumps are serialized.
+	// FlightSink, when non-nil, receives a flight-recorder dump (JSON) of
+	// the failed rep whose error the series reports (the lowest failing
+	// index). Dumps are serialized.
 	FlightSink io.Writer
-	// OnFlight, when non-nil, receives the structured form of every failed
-	// rep's flight dump (the daemon retains these for /debug/flightrecorder).
+	// OnFlight, when non-nil, receives the structured form of that same
+	// flight dump (the daemon retains these for /debug/flightrecorder).
 	// Calls are serialized with FlightSink writes.
 	OnFlight func(obs.Flight)
 }
@@ -153,9 +154,11 @@ func (e Executor) Workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// run executes rep(i) for every i in [0, n) over the worker pool. The first
-// error cancels the remaining (not yet started) reps; when several reps
-// fail, the lowest rep index deterministically wins. A parent-context
+// run executes rep(i) for every i in [0, n) over the worker pool. A failed
+// rep stops dispatch of higher indices only, so every rep below the lowest
+// failing index still runs and that index deterministically wins. A rep
+// that returns a repFailure has its flight ring dumped only if it is the
+// failure the series reports, after the pool drains. A parent-context
 // cancellation surfaces as ctx.Err() once in-flight reps have drained.
 func (e Executor) run(ctx context.Context, n int, rep func(i int) error) error {
 	if n <= 0 {
@@ -165,8 +168,6 @@ func (e Executor) run(ctx context.Context, n int, rep func(i int) error) error {
 	if workers > n {
 		workers = n
 	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
 
 	var (
 		mu       sync.Mutex
@@ -206,8 +207,9 @@ func (e Executor) run(ctx context.Context, n int, rep func(i int) error) error {
 				mu.Lock()
 				i := next
 				next++
+				stop := i >= n || (firstIdx >= 0 && i > firstIdx)
 				mu.Unlock()
-				if i >= n || ctx.Err() != nil {
+				if stop || ctx.Err() != nil {
 					return
 				}
 				err := rep(i)
@@ -217,7 +219,6 @@ func (e Executor) run(ctx context.Context, n int, rep func(i int) error) error {
 						firstIdx, firstErr = i, err
 					}
 					mu.Unlock()
-					cancel()
 					continue
 				}
 				done++
@@ -228,6 +229,10 @@ func (e Executor) run(ctx context.Context, n int, rep func(i int) error) error {
 	}
 	wg.Wait()
 	if firstIdx >= 0 {
+		if f, ok := firstErr.(repFailure); ok {
+			e.dumpFlight(firstIdx, f.rec, f.err)
+			firstErr = f.err
+		}
 		return fmt.Errorf("experiment: rep %d: %w", firstIdx, firstErr)
 	}
 	if err := context.Cause(ctx); err != nil && err != context.Canceled {
@@ -257,6 +262,15 @@ func (e Executor) applyObs(s *Spec, i int) {
 // flightMu serializes flight-recorder dumps across all executors; failures
 // are rare, so one process-wide lock is not a bottleneck.
 var flightMu sync.Mutex
+
+// repFailure is a failed rep's error together with its flight recorder,
+// which Executor.run holds until the pool drains.
+type repFailure struct {
+	rec *obs.Recorder
+	err error
+}
+
+func (f repFailure) Error() string { return f.err.Error() }
 
 // dumpFlight delivers the failed rep's flight ring to the configured sinks.
 func (e Executor) dumpFlight(i int, rec *obs.Recorder, err error) {
@@ -302,8 +316,7 @@ func (e Executor) Series(ctx context.Context, spec Spec, reps int) ([]sim.Time, 
 		e.applyObs(&s, i)
 		res, err := RunOnce(s)
 		if err != nil {
-			e.dumpFlight(i, res.Obs, err)
-			return err
+			return repFailure{res.Obs, err}
 		}
 		if i == 0 {
 			rec0 = res.Obs
@@ -334,8 +347,7 @@ func (e Executor) seriesWithPlan(ctx context.Context, spec Spec, plan *mitigate.
 		e.applyObs(&s, i)
 		res, err := runOnceWithPlan(s, plan)
 		if err != nil {
-			e.dumpFlight(i, res.Obs, err)
-			return err
+			return repFailure{res.Obs, err}
 		}
 		if i == 0 {
 			rec0 = res.Obs

@@ -173,23 +173,40 @@ func TestSeriesObsTimelineAndFlight(t *testing.T) {
 		t.Fatalf("series times changed with obs on:\nobs:   %v\nplain: %v", times, plainT)
 	}
 
-	// Failure path: every rep fails (unknown model) and rep 0's flight ring
-	// lands in the sink as a JSON document naming the rep and the error.
-	var sink bytes.Buffer
-	ef := Executor{Parallelism: 2, Obs: &ObsOptions{FlightSink: &sink}}
-	bad := spec
-	bad.Model = "tbb"
-	if _, _, err := ef.Series(context.Background(), bad, 2); err == nil {
-		t.Fatal("expected series failure")
-	}
-	var flight obs.Flight
-	if err := json.Unmarshal(sink.Bytes(), &flight); err != nil {
-		t.Fatalf("flight dump is not valid JSON: %v\n%s", err, sink.String())
-	}
-	if !strings.HasPrefix(flight.Label, "rep ") {
-		t.Fatalf("flight label = %q", flight.Label)
-	}
-	if !strings.Contains(flight.Err, "unknown model") {
-		t.Fatalf("flight err = %q", flight.Err)
+	// Failure path: every rep fails (unknown model). Exactly one flight
+	// dump is delivered — rep 0's, the failure the series reports — however
+	// many reps failed before dispatch stopped. At 16 reps the series runs
+	// through batch worlds, so both executor paths are covered.
+	for _, tc := range []struct{ parallelism, reps int }{{2, 2}, {8, 16}} {
+		var sink bytes.Buffer
+		var flights []obs.Flight
+		ef := Executor{Parallelism: tc.parallelism, Obs: &ObsOptions{
+			FlightSink: &sink,
+			OnFlight:   func(f obs.Flight) { flights = append(flights, f) },
+		}}
+		bad := spec
+		bad.Model = "tbb"
+		_, _, err := ef.Series(context.Background(), bad, tc.reps)
+		if err == nil || !strings.HasPrefix(err.Error(), "experiment: rep 0: ") {
+			t.Fatalf("p=%d reps=%d: series error = %v, want rep 0's", tc.parallelism, tc.reps, err)
+		}
+		dec := json.NewDecoder(&sink)
+		var flight obs.Flight
+		if err := dec.Decode(&flight); err != nil {
+			t.Fatalf("p=%d: flight dump is not valid JSON: %v\n%s", tc.parallelism, err, sink.String())
+		}
+		if flight.Label != "rep 0" {
+			t.Fatalf("p=%d: flight label = %q, want \"rep 0\"", tc.parallelism, flight.Label)
+		}
+		if !strings.Contains(flight.Err, "unknown model") {
+			t.Fatalf("p=%d: flight err = %q", tc.parallelism, flight.Err)
+		}
+		if dec.More() {
+			t.Fatalf("p=%d reps=%d: more than one flight document in the sink:\n%s",
+				tc.parallelism, tc.reps, sink.String())
+		}
+		if len(flights) != 1 || flights[0].Label != "rep 0" {
+			t.Fatalf("p=%d reps=%d: OnFlight got %d dumps, want one for rep 0", tc.parallelism, tc.reps, len(flights))
+		}
 	}
 }
