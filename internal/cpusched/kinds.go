@@ -5,9 +5,10 @@
 // idle balancing, affinity masks, and an optional RT-throttling fail-safe
 // (the one the paper disables during noise injection).
 //
-// Task bodies are ordinary Go functions executed as coroutines against the
-// engine: exactly one of {engine, one task body} runs at any instant, under
-// a strict channel handshake, so simulations remain deterministic.
+// A task body is a Program: a state machine the scheduler asks for its next
+// request (compute, memory, sleep, barrier, device I/O, ...) on the engine
+// thread, at the simulated instant the previous request completes. Nothing
+// runs concurrently with the engine, so simulations remain deterministic.
 //
 // Execution progress uses a fluid rate model: compute work (cycles) runs at
 // the core clock, halved-ish when the SMT sibling is busy; memory work

@@ -109,22 +109,19 @@ type Team struct {
 
 	startBar *cpusched.Barrier
 	endBar   *cpusched.Barrier
-	loop     *loopState
+	loop     loopState
 	stop     bool
-	// regions counts parallel regions for obs span naming (only advanced
-	// while an observer is attached).
-	regions int
 
 	cyclesPerNs float64
 
-	masterCtx *cpusched.Ctx
-	master    *cpusched.Task
-	workers   []*cpusched.Task
+	master  *cpusched.Task
+	workers []*cpusched.Task
 }
 
-// Start creates the team (master + workers, spawned immediately; workers
-// park at the region barrier) and runs body on the master thread. It
-// returns the master task; the caller drives the engine until it is done.
+// Start records body (parmodel.Record) and creates the team: workers
+// 1..N-1 park at the region barrier, and the master, thread 0, replays the
+// recorded phases. Every thread runs the same inline workerProgram. Start
+// returns the team; the caller drives the engine until Master is done.
 func Start(s *cpusched.Scheduler, plan *mitigate.Plan, cfg Config, body parmodel.Body) *Team {
 	if cfg.CostFactor <= 0 {
 		cfg.CostFactor = 1.0
@@ -137,100 +134,37 @@ func Start(s *cpusched.Scheduler, plan *mitigate.Plan, cfg Config, body parmodel
 		endBar:      cpusched.NewBarrier(plan.Threads),
 		cyclesPerNs: s.Topology().CyclesPerNs(),
 	}
-	// Workers are threads 1..N-1; master is thread 0. Workers run as inline
-	// scheduler Programs (no goroutine per thread); the master keeps the
-	// imperative path because it executes the arbitrary workload body.
-	for i := 1; i < plan.Threads; i++ {
-		w := s.SpawnProgram(cpusched.TaskSpec{
-			Name:      workerName(i),
+	phases := parmodel.Record(body, "omp", plan.Threads)
+	spawn := func(name string, i int, w *workerProgram) *cpusched.Task {
+		return s.SpawnProgram(cpusched.TaskSpec{
+			Name:      name,
 			Kind:      cpusched.KindWorkload,
 			Affinity:  plan.AffinityOf(i),
 			Policy:    cfg.Policy,
 			DLRuntime: cfg.DLRuntime,
 			DLPeriod:  cfg.DLPeriod,
-		}, &workerProgram{t: t, id: i})
-		t.workers = append(t.workers, w)
+		}, w)
 	}
-	t.master = s.Spawn(cpusched.TaskSpec{
-		Name:      "omp-master",
-		Kind:      cpusched.KindWorkload,
-		Affinity:  plan.AffinityOf(0),
-		Policy:    cfg.Policy,
-		DLRuntime: cfg.DLRuntime,
-		DLPeriod:  cfg.DLPeriod,
-	}, func(ctx *cpusched.Ctx) {
-		t.masterCtx = ctx
-		body(t)
-		t.shutdownWorkers()
-	})
+	for i := 1; i < plan.Threads; i++ {
+		t.workers = append(t.workers, spawn(workerName(i), i, &workerProgram{t: t, id: i}))
+	}
+	t.master = spawn("omp-master", 0, &workerProgram{t: t, state: wLead, phases: phases})
 	return t
 }
 
 // Master returns the master task (the workload's completion handle).
 func (t *Team) Master() *cpusched.Task { return t.master }
 
-var _ parmodel.Model = (*Team)(nil)
-
-// Threads implements parmodel.Model.
-func (t *Team) Threads() int { return t.plan.Threads }
-
-// Name implements parmodel.Model.
-func (t *Team) Name() string { return "omp" }
-
-// MasterCompute implements parmodel.Model.
-func (t *Team) MasterCompute(cycles float64) {
-	t.masterCtx.Compute(cycles * t.cfg.CostFactor)
-}
-
-// MasterMemory implements parmodel.Model.
-func (t *Team) MasterMemory(bytes float64) {
-	t.masterCtx.Memory(bytes * t.cfg.CostFactor)
-}
-
-// MasterBlockOn implements parmodel.Model. I/O volume is data, not work:
-// CostFactor does not apply.
-func (t *Team) MasterBlockOn(dev string, bytes float64) {
-	t.masterCtx.BlockOn(t.device(dev), bytes)
-}
-
-// ParallelFor implements parmodel.Model: one parallel region with an
-// implicit end barrier.
-func (t *Team) ParallelFor(n int, cost func(int) parmodel.Cost) {
-	if n < 0 {
-		panic("omprt: negative trip count")
-	}
-	t.loop = &loopState{n: n, cost: cost}
-	// Observability only reads the clock (safe from the body goroutine,
-	// like Ctx.Now): the region span steals no simulated time.
-	rec := t.s.Observer()
-	var regionStart sim.Time
-	if rec != nil {
-		regionStart = t.masterCtx.Now()
-		t.regions++
-	}
-	// Region fork: master-side setup work.
-	t.masterCtx.Compute(float64(t.cfg.ForkOverhead) * t.cyclesPerNs)
-	if t.plan.Threads == 1 {
-		t.runChunks(t.masterCtx, 0)
-	} else {
-		t.masterCtx.Barrier(t.startBar, false) // releases parked workers
-		t.runChunks(t.masterCtx, 0)
-		t.masterCtx.Barrier(t.endBar, t.cfg.ActiveWait)
-	}
-	if rec != nil {
-		rec.Span(t.masterCtx.CPU(), fmt.Sprintf("parallel-region-%d", t.regions),
-			"omp", t.cfg.Schedule.String(), regionStart, t.masterCtx.Now())
-	}
-}
-
-// workerProgram is the worker thread's loop as an inline scheduler
-// Program, yielding the byte-identical request sequence workerLoop's
-// imperative form issued: park at the region start barrier, claim/execute
-// this thread's chunks, wait at the end barrier, repeat. Shared loop state
-// (t.loop, l.next, t.stop) is read and written inside Next, which runs at
-// exactly the simulated instants the goroutine body performed the same
-// accesses (the fetch points), so dynamic/guided claim races resolve
-// identically.
+// workerProgram is a team thread as an inline scheduler Program: park at
+// the region start barrier, claim/execute this thread's chunks, wait at
+// the end barrier, repeat. Shared loop state (t.loop, t.stop) is read and
+// written inside Next, at the simulated instants the thread fetches its
+// next request, so dynamic/guided claim races resolve deterministically.
+//
+// The master (id 0) runs the same loop with a leader prologue: between
+// regions it replays the recorded workload phases — serial work, then per
+// ParallelFor the fork overhead before the start barrier it releases — and
+// after the last phase it sets stop and releases the workers once more.
 type workerProgram struct {
 	t     *Team
 	id    int
@@ -239,6 +173,13 @@ type workerProgram struct {
 	mem   float64 // memory half of the range whose compute was just yielded
 	io    float64 // I/O bytes of the current range (0 = no blocking phase)
 	iodev string  // device the I/O phase blocks on
+
+	// Master only: the phases still to replay, and the current region's
+	// obs span start and number (advanced only while an observer is
+	// attached).
+	phases      []parmodel.Phase
+	regionStart sim.Time
+	regions     int
 }
 
 const (
@@ -250,6 +191,8 @@ const (
 	wMemory            // yield the memory half of the current range
 	wIO                // block on the range's device request (io > 0 only)
 	wEndBar            // arrive at the region end barrier
+	wRegionEnd         // master: the region is over; close its obs span
+	wLead              // master: replay the next recorded phase
 )
 
 // afterUnit is the state following a completed work unit (compute + memory
@@ -265,13 +208,42 @@ func (w *workerProgram) afterUnit() int {
 	return wDispatch
 }
 
-func (w *workerProgram) Next(*cpusched.Task) (cpusched.Request, bool) {
+func (w *workerProgram) Next(task *cpusched.Task) (cpusched.Request, bool) {
 	t := w.t
 	for {
 		switch w.state {
+		case wLead:
+			if len(w.phases) == 0 {
+				t.stop = true
+				w.state = wStartBar
+				continue
+			}
+			ph := w.phases[0]
+			w.phases = w.phases[1:]
+			switch ph.Kind {
+			case parmodel.PhaseCompute:
+				return cpusched.ReqCompute(ph.Amount * t.cfg.CostFactor), true
+			case parmodel.PhaseMemory:
+				return cpusched.ReqMemory(ph.Amount * t.cfg.CostFactor), true
+			case parmodel.PhaseBlockOn:
+				// I/O volume is data, not work: CostFactor does not apply.
+				return cpusched.ReqBlockOn(t.device(ph.Dev), ph.Amount), true
+			}
+			if ph.N < 0 {
+				panic("omprt: negative trip count")
+			}
+			t.loop = loopState{n: ph.N, cost: ph.Cost}
+			if t.s.Observer() != nil {
+				w.regionStart = t.s.Now()
+				w.regions++
+			}
+			w.state = wStartBar
+			return cpusched.ReqCompute(float64(t.cfg.ForkOverhead) * t.cyclesPerNs), true
 		case wStartBar:
 			w.state = wBegin
-			return cpusched.ReqBarrier(t.startBar, false), true
+			if t.plan.Threads > 1 {
+				return cpusched.ReqBarrier(t.startBar, false), true
+			}
 		case wBegin:
 			if t.stop {
 				return cpusched.Request{}, false
@@ -279,9 +251,9 @@ func (w *workerProgram) Next(*cpusched.Task) (cpusched.Request, bool) {
 			switch t.cfg.Schedule {
 			case Static:
 				if t.cfg.Chunk <= 0 {
-					l := t.loop
-					lo := w.id * l.n / t.plan.Threads
-					hi := (w.id + 1) * l.n / t.plan.Threads
+					n := t.loop.n
+					lo := w.id * n / t.plan.Threads
+					hi := (w.id + 1) * n / t.plan.Threads
 					c, b, io, dev := t.rangeCost(lo, hi)
 					w.mem, w.io, w.iodev = b, io, dev
 					w.state = wMemory
@@ -295,15 +267,12 @@ func (w *workerProgram) Next(*cpusched.Task) (cpusched.Request, bool) {
 				panic("omprt: unknown schedule")
 			}
 		case wStaticNext:
-			l := t.loop
-			if w.base >= l.n {
+			n := t.loop.n
+			if w.base >= n {
 				w.state = wEndBar
 				continue
 			}
-			hi := w.base + t.cfg.Chunk
-			if hi > l.n {
-				hi = l.n
-			}
+			hi := min(w.base+t.cfg.Chunk, n)
 			c, b, io, dev := t.rangeCost(w.base, hi)
 			w.base += t.plan.Threads * t.cfg.Chunk
 			w.mem, w.io, w.iodev = b, io, dev
@@ -311,22 +280,18 @@ func (w *workerProgram) Next(*cpusched.Task) (cpusched.Request, bool) {
 			return cpusched.ReqCompute(c), true
 		case wDispatch:
 			// Zero overhead yields a zero-demand request the scheduler
-			// skips, exactly as dispatchCost sends nothing.
+			// skips, so the claim below runs within the same fetch.
 			w.state = wClaim
 			return cpusched.ReqCompute(float64(t.cfg.DispatchOverhead) * t.cyclesPerNs), true
 		case wClaim:
-			// The claim runs at the fetch following the dispatch compute —
-			// the instant the imperative body resumed and read l.next.
-			l := t.loop
+			// The claim runs at the fetch following the dispatch compute.
+			l := &t.loop
 			lo := l.next
 			if lo >= l.n {
 				w.state = wEndBar
 				continue
 			}
-			hi := lo + t.claimSize(lo)
-			if hi > l.n {
-				hi = l.n
-			}
+			hi := min(lo+t.claimSize(lo), l.n)
 			l.next = hi
 			c, b, io, dev := t.rangeCost(lo, hi)
 			w.mem, w.io, w.iodev = b, io, dev
@@ -347,8 +312,22 @@ func (w *workerProgram) Next(*cpusched.Task) (cpusched.Request, bool) {
 			w.state = w.afterUnit()
 			return cpusched.ReqBlockOn(t.device(dev), io), true
 		case wEndBar:
-			w.state = wStartBar
-			return cpusched.ReqBarrier(t.endBar, t.cfg.ActiveWait), true
+			if w.id != 0 {
+				w.state = wStartBar
+				return cpusched.ReqBarrier(t.endBar, t.cfg.ActiveWait), true
+			}
+			w.state = wRegionEnd
+			if t.plan.Threads > 1 {
+				return cpusched.ReqBarrier(t.endBar, t.cfg.ActiveWait), true
+			}
+		case wRegionEnd:
+			// The region span steals no simulated time: it is emitted at
+			// the fetch after the end barrier, on the master's CPU.
+			if rec := t.s.Observer(); rec != nil {
+				rec.Span(task.CPU(), fmt.Sprintf("parallel-region-%d", w.regions),
+					"omp", t.cfg.Schedule.String(), w.regionStart, t.s.Now())
+			}
+			w.state = wLead
 		}
 	}
 }
@@ -405,92 +384,4 @@ func workerName(i int) string {
 		return workerNames[i]
 	}
 	return fmt.Sprintf("omp-worker-%d", i)
-}
-
-func (t *Team) shutdownWorkers() {
-	if t.plan.Threads == 1 {
-		return
-	}
-	t.stop = true
-	t.masterCtx.Barrier(t.startBar, false)
-}
-
-// runChunks executes thread id's share of the current loop.
-func (t *Team) runChunks(ctx *cpusched.Ctx, id int) {
-	l := t.loop
-	T := t.plan.Threads
-	switch t.cfg.Schedule {
-	case Static:
-		if t.cfg.Chunk <= 0 {
-			lo := id * l.n / T
-			hi := (id + 1) * l.n / T
-			t.execRange(ctx, lo, hi)
-			return
-		}
-		// Round-robin fixed chunks.
-		for base := id * t.cfg.Chunk; base < l.n; base += T * t.cfg.Chunk {
-			hi := base + t.cfg.Chunk
-			if hi > l.n {
-				hi = l.n
-			}
-			t.execRange(ctx, base, hi)
-		}
-	case Dynamic:
-		chunk := t.cfg.Chunk
-		if chunk <= 0 {
-			chunk = 1
-		}
-		for {
-			t.dispatchCost(ctx)
-			lo := l.next
-			if lo >= l.n {
-				return
-			}
-			hi := lo + chunk
-			if hi > l.n {
-				hi = l.n
-			}
-			l.next = hi
-			t.execRange(ctx, lo, hi)
-		}
-	case Guided:
-		minChunk := t.cfg.Chunk
-		if minChunk <= 0 {
-			minChunk = 1
-		}
-		for {
-			t.dispatchCost(ctx)
-			lo := l.next
-			if lo >= l.n {
-				return
-			}
-			size := (l.n - lo + 2*T - 1) / (2 * T)
-			if size < minChunk {
-				size = minChunk
-			}
-			hi := lo + size
-			if hi > l.n {
-				hi = l.n
-			}
-			l.next = hi
-			t.execRange(ctx, lo, hi)
-		}
-	default:
-		panic("omprt: unknown schedule")
-	}
-}
-
-func (t *Team) dispatchCost(ctx *cpusched.Ctx) {
-	if t.cfg.DispatchOverhead > 0 {
-		ctx.Compute(float64(t.cfg.DispatchOverhead) * t.cyclesPerNs)
-	}
-}
-
-func (t *Team) execRange(ctx *cpusched.Ctx, lo, hi int) {
-	c, b, io, dev := t.rangeCost(lo, hi)
-	ctx.Compute(c)
-	ctx.Memory(b)
-	if io > 0 {
-		ctx.BlockOn(t.device(dev), io)
-	}
 }

@@ -92,11 +92,11 @@ func TestStaticStragglerSensitivity(t *testing.T) {
 		s := newSched()
 		if noise {
 			s.Engine().At(2*sim.Millisecond, func() {
-				s.Spawn(cpusched.TaskSpec{
+				s.SpawnSeq(cpusched.TaskSpec{
 					Name: "noise", Kind: cpusched.KindNoiseThread,
 					Policy: cpusched.PolicyFIFO, RTPrio: 50,
 					Affinity: machine.SetOf(3),
-				}, func(c *cpusched.Ctx) { c.ComputeDur(50 * sim.Millisecond) })
+				}, cpusched.ReqCompute(float64(50*sim.Millisecond)*s.Topology().CyclesPerNs()))
 			})
 		}
 		return runBody(t, s, mitigate.TP, DefaultConfig(), func(m parmodel.Model) {
@@ -117,11 +117,11 @@ func TestDynamicAbsorbsStraggler(t *testing.T) {
 	run := func(schedKind Schedule) sim.Time {
 		s := newSched()
 		s.Engine().At(2*sim.Millisecond, func() {
-			s.Spawn(cpusched.TaskSpec{
+			s.SpawnSeq(cpusched.TaskSpec{
 				Name: "noise", Kind: cpusched.KindNoiseThread,
 				Policy: cpusched.PolicyFIFO, RTPrio: 50,
 				Affinity: machine.SetOf(3),
-			}, func(c *cpusched.Ctx) { c.ComputeDur(50 * sim.Millisecond) })
+			}, cpusched.ReqCompute(float64(50*sim.Millisecond)*s.Topology().CyclesPerNs()))
 		})
 		cfg := DefaultConfig()
 		cfg.Schedule = schedKind
@@ -247,5 +247,46 @@ func TestRoamingRegionRuns(t *testing.T) {
 	})
 	if got < 10*sim.Millisecond || got > 12*sim.Millisecond {
 		t.Fatalf("roaming region took %v", got)
+	}
+}
+
+// panicValue runs f and returns what it panicked with (nil if it returned).
+func panicValue(f func()) (r any) {
+	defer func() { r = recover() }()
+	f()
+	return nil
+}
+
+// The recorded body is validated as the master replays it: a negative trip
+// count panics with the runtime's message when the region is reached.
+func TestNegativeTripCountPanics(t *testing.T) {
+	s := newSched()
+	r := panicValue(func() {
+		runBody(t, s, mitigate.TP, DefaultConfig(), func(m parmodel.Model) {
+			m.MasterCompute(3e6)
+			m.ParallelFor(-1, uniform(1))
+		})
+	})
+	if r != "omprt: negative trip count" {
+		t.Fatalf("panic = %v, want the negative trip count message", r)
+	}
+}
+
+// A device name is resolved when the master fetches the request that uses
+// it: Start succeeds, and the panic comes after the preceding 1ms of
+// serial compute.
+func TestUnregisteredDevicePanicsAtFetch(t *testing.T) {
+	s := newSched()
+	plan := mitigate.MustApply(mitigate.TP, s.Topology())
+	team := Start(s, plan, DefaultConfig(), func(m parmodel.Model) {
+		m.MasterCompute(3e6) // 1ms
+		m.MasterBlockOn("nodev", 0)
+	})
+	r := panicValue(func() { s.Engine().RunWhile(func() bool { return !team.Master().Done() }) })
+	if r != `omprt: workload references unregistered device "nodev"` {
+		t.Fatalf("panic = %v, want the unregistered device message", r)
+	}
+	if now := s.Now(); now != sim.Millisecond {
+		t.Fatalf("panicked at %v, want at the fetch after 1ms of compute", now)
 	}
 }

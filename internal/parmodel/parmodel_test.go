@@ -38,3 +38,49 @@ func TestCostAlgebra(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestRecordPassesNameAndThreads(t *testing.T) {
+	var name string
+	var threads int
+	Record(func(m Model) { name, threads = m.Name(), m.Threads() }, "sycl", 6)
+	if name != "sycl" || threads != 6 {
+		t.Fatalf("body saw Name()=%q Threads()=%d, want sycl 6", name, threads)
+	}
+}
+
+// Record keeps every call in order, as passed: a negative trip count and an
+// unknown device are the replaying runtime's to reject, and cost functions
+// are not called until the runtime claims a unit.
+func TestRecordKeepsCallsInOrderAndCostsLazy(t *testing.T) {
+	calls := 0
+	cost := func(int) Cost { calls++; return Cost{Cycles: 1} }
+	phases := Record(func(m Model) {
+		m.ParallelFor(3, cost)
+		m.MasterCompute(5)
+		m.MasterMemory(7)
+		m.MasterBlockOn("disk", 9)
+		m.ParallelFor(-1, nil)
+	}, "omp", 2)
+	want := []Phase{
+		{Kind: PhaseParallelFor, N: 3},
+		{Kind: PhaseCompute, Amount: 5},
+		{Kind: PhaseMemory, Amount: 7},
+		{Kind: PhaseBlockOn, Amount: 9, Dev: "disk"},
+		{Kind: PhaseParallelFor, N: -1},
+	}
+	if len(phases) != len(want) {
+		t.Fatalf("recorded %d phases, want %d", len(phases), len(want))
+	}
+	for i, p := range phases {
+		w := want[i]
+		if p.Kind != w.Kind || p.N != w.N || p.Amount != w.Amount || p.Dev != w.Dev {
+			t.Errorf("phase %d = %+v, want %+v", i, p, w)
+		}
+	}
+	if calls != 0 {
+		t.Fatalf("Record called the cost function %d times, want 0", calls)
+	}
+	if c := phases[0].Cost(2); c.Cycles != 1 || calls != 1 {
+		t.Fatalf("recorded cost function = %+v after %d calls", c, calls)
+	}
+}

@@ -59,8 +59,7 @@ type kernel struct {
 	next int // work-group claim cursor
 }
 
-// Queue is the SYCL in-order queue plus its worker pool. It implements
-// parmodel.Model for workload bodies running on the host thread.
+// Queue is the SYCL in-order queue plus its worker pool.
 type Queue struct {
 	s    *cpusched.Scheduler
 	plan *mitigate.Plan
@@ -68,22 +67,20 @@ type Queue struct {
 
 	kernelBar *cpusched.Barrier // host+workers rendezvous to start a kernel
 	doneBar   *cpusched.Barrier // host+workers rendezvous at kernel end
-	kern      *kernel
+	kern      kernel
 	stop      bool
-	// kernels counts submissions for obs span naming (only advanced while
-	// an observer is attached).
-	kernels int
 
 	cyclesPerNs float64
 
-	hostCtx *cpusched.Ctx
 	host    *cpusched.Task
 	workers []*cpusched.Task
 }
 
-// Start creates the queue's worker pool and runs body on the host thread.
-// The host participates in kernel execution as one of the workers (CPU
-// backends do this), so the pool size equals the plan's thread count.
+// Start records body (parmodel.Record) and creates the queue's worker
+// pool. The host thread replays the recorded phases and participates in
+// kernel execution as one of the workers (CPU backends do this), so the
+// pool size equals the plan's thread count. Every pool thread, the host
+// included, runs the same inline poolProgram.
 func Start(s *cpusched.Scheduler, plan *mitigate.Plan, cfg Config, body parmodel.Body) *Queue {
 	if cfg.CostFactor <= 0 {
 		cfg.CostFactor = 1.0
@@ -99,105 +96,50 @@ func Start(s *cpusched.Scheduler, plan *mitigate.Plan, cfg Config, body parmodel
 		doneBar:     cpusched.NewBarrier(plan.Threads),
 		cyclesPerNs: s.Topology().CyclesPerNs(),
 	}
-	// Workers run as inline scheduler Programs (no goroutine per pool
-	// thread); the host keeps the imperative path because it executes the
-	// arbitrary workload body.
-	for i := 1; i < plan.Threads; i++ {
-		w := s.SpawnProgram(cpusched.TaskSpec{
-			Name:      workerName(i),
+	phases := parmodel.Record(body, "sycl", plan.Threads)
+	spawn := func(name string, i int, p *poolProgram) *cpusched.Task {
+		return s.SpawnProgram(cpusched.TaskSpec{
+			Name:      name,
 			Kind:      cpusched.KindWorkload,
 			Affinity:  plan.AffinityOf(i),
 			Policy:    cfg.Policy,
 			DLRuntime: cfg.DLRuntime,
 			DLPeriod:  cfg.DLPeriod,
-		}, &poolProgram{q: q})
-		q.workers = append(q.workers, w)
+		}, p)
 	}
-	q.host = s.Spawn(cpusched.TaskSpec{
-		Name:      "sycl-host",
-		Kind:      cpusched.KindWorkload,
-		Affinity:  plan.AffinityOf(0),
-		Policy:    cfg.Policy,
-		DLRuntime: cfg.DLRuntime,
-		DLPeriod:  cfg.DLPeriod,
-	}, func(ctx *cpusched.Ctx) {
-		q.hostCtx = ctx
-		body(q)
-		q.shutdown()
-	})
+	for i := 1; i < plan.Threads; i++ {
+		q.workers = append(q.workers, spawn(workerName(i), i, &poolProgram{q: q}))
+	}
+	q.host = spawn("sycl-host", 0, &poolProgram{q: q, host: true, state: pLead, phases: phases})
 	return q
 }
 
 // Host returns the host task (the workload's completion handle).
 func (q *Queue) Host() *cpusched.Task { return q.host }
 
-var _ parmodel.Model = (*Queue)(nil)
-
-// Threads implements parmodel.Model.
-func (q *Queue) Threads() int { return q.plan.Threads }
-
-// Name implements parmodel.Model.
-func (q *Queue) Name() string { return "sycl" }
-
-// MasterCompute implements parmodel.Model (host-side serial work).
-func (q *Queue) MasterCompute(cycles float64) {
-	q.hostCtx.Compute(cycles * q.cfg.CostFactor)
-}
-
-// MasterMemory implements parmodel.Model.
-func (q *Queue) MasterMemory(bytes float64) {
-	q.hostCtx.Memory(bytes * q.cfg.CostFactor)
-}
-
-// MasterBlockOn implements parmodel.Model. I/O volume is data, not work:
-// CostFactor does not apply.
-func (q *Queue) MasterBlockOn(dev string, bytes float64) {
-	q.hostCtx.BlockOn(q.device(dev), bytes)
-}
-
-// ParallelFor implements parmodel.Model: submit one kernel and wait for it
-// (in-order queue with an immediately-consumed event, the pattern the
-// benchmarks use).
-func (q *Queue) ParallelFor(n int, cost func(int) parmodel.Cost) {
-	if n < 0 {
-		panic("syclrt: negative ND-range")
-	}
-	// Observability only reads the clock (safe from the body goroutine,
-	// like Ctx.Now): the kernel span steals no simulated time.
-	rec := q.s.Observer()
-	var submitStart sim.Time
-	if rec != nil {
-		submitStart = q.hostCtx.Now()
-		q.kernels++
-	}
-	// Host-side submission cost.
-	q.hostCtx.Compute(float64(q.cfg.SubmitOverhead) * q.cyclesPerNs)
-	q.kern = &kernel{n: n, cost: cost}
-	if q.plan.Threads == 1 {
-		q.runWorkGroups(q.hostCtx)
-	} else {
-		q.hostCtx.Barrier(q.kernelBar, false) // wake the pool
-		q.runWorkGroups(q.hostCtx)            // host joins execution
-		q.hostCtx.Barrier(q.doneBar, q.cfg.ActiveWait)
-	}
-	if rec != nil {
-		rec.Span(q.hostCtx.CPU(), fmt.Sprintf("kernel-%d", q.kernels),
-			"sycl", "in-order", submitStart, q.hostCtx.Now())
-	}
-}
-
-// poolProgram is the pool worker's loop as an inline scheduler Program,
-// yielding the byte-identical request sequence the imperative workerLoop
-// issued: park at the kernel barrier, claim and execute work-groups from
-// the shared cursor, rendezvous at the done barrier, repeat. Claims run
-// inside Next at exactly the fetch instants the goroutine body read and
-// advanced q.kern.next, so work-group distribution resolves identically.
+// poolProgram is a pool thread as an inline scheduler Program: park at the
+// kernel barrier, claim and execute work-groups from the shared cursor,
+// rendezvous at the done barrier, repeat. Claims run inside Next, at the
+// simulated instants the thread fetches its next request, so work-group
+// distribution resolves deterministically.
+//
+// The host runs the same loop with a leader prologue: between kernels it
+// replays the recorded workload phases — serial work, then per ParallelFor
+// the submission cost before the kernel barrier it releases — and after
+// the last phase it sets stop and releases the workers once more.
 type poolProgram struct {
 	q     *Queue
 	state int
 	mem   float64 // memory half of the work-group whose compute was yielded
 	io    float64 // I/O bytes of the work-group (0 = no blocking phase)
 	iodev string  // device the I/O phase blocks on
+
+	// Host only: the phases still to replay, and the current kernel's obs
+	// span start and number (advanced only while an observer is attached).
+	host        bool
+	phases      []parmodel.Phase
+	submitStart sim.Time
+	kernels     int
 }
 
 const (
@@ -208,15 +150,46 @@ const (
 	pMemory           // yield the memory half of the current work-group
 	pIO               // block on the work-group's device request (io > 0 only)
 	pDoneBar          // arrive at the kernel end barrier
+	pKernelEnd        // host: the kernel is over; close its obs span
+	pLead             // host: replay the next recorded phase
 )
 
-func (p *poolProgram) Next(*cpusched.Task) (cpusched.Request, bool) {
+func (p *poolProgram) Next(task *cpusched.Task) (cpusched.Request, bool) {
 	q := p.q
 	for {
 		switch p.state {
+		case pLead:
+			if len(p.phases) == 0 {
+				q.stop = true
+				p.state = pKernelBar
+				continue
+			}
+			ph := p.phases[0]
+			p.phases = p.phases[1:]
+			switch ph.Kind {
+			case parmodel.PhaseCompute:
+				return cpusched.ReqCompute(ph.Amount * q.cfg.CostFactor), true
+			case parmodel.PhaseMemory:
+				return cpusched.ReqMemory(ph.Amount * q.cfg.CostFactor), true
+			case parmodel.PhaseBlockOn:
+				// I/O volume is data, not work: CostFactor does not apply.
+				return cpusched.ReqBlockOn(q.device(ph.Dev), ph.Amount), true
+			}
+			if ph.N < 0 {
+				panic("syclrt: negative ND-range")
+			}
+			q.kern = kernel{n: ph.N, cost: ph.Cost}
+			if q.s.Observer() != nil {
+				p.submitStart = q.s.Now()
+				p.kernels++
+			}
+			p.state = pKernelBar
+			return cpusched.ReqCompute(float64(q.cfg.SubmitOverhead) * q.cyclesPerNs), true
 		case pKernelBar:
 			p.state = pBegin
-			return cpusched.ReqBarrier(q.kernelBar, false), true
+			if q.plan.Threads > 1 {
+				return cpusched.ReqBarrier(q.kernelBar, false), true
+			}
 		case pBegin:
 			if q.stop {
 				return cpusched.Request{}, false
@@ -224,21 +197,18 @@ func (p *poolProgram) Next(*cpusched.Task) (cpusched.Request, bool) {
 			p.state = pDispatch
 		case pDispatch:
 			// Zero dispatch cost yields a zero-demand request the
-			// scheduler skips, exactly as the imperative guard sent
-			// nothing.
+			// scheduler skips, so the claim below runs within the same
+			// fetch.
 			p.state = pClaim
 			return cpusched.ReqCompute(float64(q.cfg.WGDispatch) * q.cyclesPerNs), true
 		case pClaim:
-			k := q.kern
+			k := &q.kern
 			lo := k.next
 			if lo >= k.n {
 				p.state = pDoneBar
 				continue
 			}
-			hi := lo + q.cfg.WGUnits
-			if hi > k.n {
-				hi = k.n
-			}
+			hi := min(lo+q.cfg.WGUnits, k.n)
 			k.next = hi
 			c, b, io, dev := q.groupCost(lo, hi)
 			p.mem, p.io, p.iodev = b, io, dev
@@ -259,41 +229,22 @@ func (p *poolProgram) Next(*cpusched.Task) (cpusched.Request, bool) {
 			p.state = pDispatch
 			return cpusched.ReqBlockOn(q.device(dev), io), true
 		case pDoneBar:
-			p.state = pKernelBar
-			return cpusched.ReqBarrier(q.doneBar, q.cfg.ActiveWait), true
-		}
-	}
-}
-
-func (q *Queue) shutdown() {
-	if q.plan.Threads == 1 {
-		return
-	}
-	q.stop = true
-	q.hostCtx.Barrier(q.kernelBar, false)
-}
-
-// runWorkGroups claims and executes work-groups until the kernel drains.
-func (q *Queue) runWorkGroups(ctx *cpusched.Ctx) {
-	k := q.kern
-	for {
-		if q.cfg.WGDispatch > 0 {
-			ctx.Compute(float64(q.cfg.WGDispatch) * q.cyclesPerNs)
-		}
-		lo := k.next
-		if lo >= k.n {
-			return
-		}
-		hi := lo + q.cfg.WGUnits
-		if hi > k.n {
-			hi = k.n
-		}
-		k.next = hi
-		c, b, io, dev := q.groupCost(lo, hi)
-		ctx.Compute(c)
-		ctx.Memory(b)
-		if io > 0 {
-			ctx.BlockOn(q.device(dev), io)
+			if !p.host {
+				p.state = pKernelBar
+				return cpusched.ReqBarrier(q.doneBar, q.cfg.ActiveWait), true
+			}
+			p.state = pKernelEnd
+			if q.plan.Threads > 1 {
+				return cpusched.ReqBarrier(q.doneBar, q.cfg.ActiveWait), true
+			}
+		case pKernelEnd:
+			// The kernel span steals no simulated time: it is emitted at
+			// the fetch after the done barrier, on the host's CPU.
+			if rec := q.s.Observer(); rec != nil {
+				rec.Span(task.CPU(), fmt.Sprintf("kernel-%d", p.kernels),
+					"sycl", "in-order", p.submitStart, q.s.Now())
+			}
+			p.state = pLead
 		}
 	}
 }

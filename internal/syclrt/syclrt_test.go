@@ -94,11 +94,11 @@ func TestNoiseResilienceVsOMPStatic(t *testing.T) {
 	// queue (dynamic work-groups) must degrade less than OpenMP static.
 	noiseAt := func(s *cpusched.Scheduler) {
 		s.Engine().At(2*sim.Millisecond, func() {
-			s.Spawn(cpusched.TaskSpec{
+			s.SpawnSeq(cpusched.TaskSpec{
 				Name: "noise", Kind: cpusched.KindNoiseThread,
 				Policy: cpusched.PolicyFIFO, RTPrio: 50,
 				Affinity: machine.SetOf(3),
-			}, func(c *cpusched.Ctx) { c.ComputeDur(40 * sim.Millisecond) })
+			}, cpusched.ReqCompute(float64(40*sim.Millisecond)*s.Topology().CyclesPerNs()))
 		})
 	}
 	// SYCL with noise.
@@ -215,5 +215,48 @@ func TestMasterComputeAndMemory(t *testing.T) {
 	})
 	if got < 2*sim.Millisecond || got > 3*sim.Millisecond {
 		t.Fatalf("host serial work took %v, want ~2ms", got)
+	}
+}
+
+// panicValue runs f and returns what it panicked with (nil if it returned).
+func panicValue(f func()) (r any) {
+	defer func() { r = recover() }()
+	f()
+	return nil
+}
+
+// The recorded body is validated as the host replays it: a negative
+// ND-range panics with the runtime's message when the kernel is submitted.
+func TestNegativeNDRangePanics(t *testing.T) {
+	s := newSched()
+	r := panicValue(func() {
+		runBody(t, s, mitigate.TP, DefaultConfig(), func(m parmodel.Model) {
+			m.MasterCompute(3e6)
+			m.ParallelFor(-1, uniform(1))
+		})
+	})
+	if r != "syclrt: negative ND-range" {
+		t.Fatalf("panic = %v, want the negative ND-range message", r)
+	}
+}
+
+// A device name is resolved when the host fetches the request that uses
+// it: Start succeeds, and the panic comes after the preceding 1ms of
+// serial compute.
+func TestUnregisteredDevicePanicsAtFetch(t *testing.T) {
+	s := newSched()
+	plan := mitigate.MustApply(mitigate.TP, s.Topology())
+	cfg := DefaultConfig()
+	cfg.CostFactor = 1.0
+	q := Start(s, plan, cfg, func(m parmodel.Model) {
+		m.MasterCompute(3e6) // 1ms
+		m.MasterBlockOn("nodev", 0)
+	})
+	r := panicValue(func() { s.Engine().RunWhile(func() bool { return !q.Host().Done() }) })
+	if r != `syclrt: workload references unregistered device "nodev"` {
+		t.Fatalf("panic = %v, want the unregistered device message", r)
+	}
+	if now := s.Now(); now != sim.Millisecond {
+		t.Fatalf("panicked at %v, want at the fetch after 1ms of compute", now)
 	}
 }
