@@ -117,6 +117,14 @@ func goldenCases() []goldenCase {
 			Model: "sycl", Strategy: "Rm", Reps: 2, Seed: 45, Threads: 1},
 		{Name: "tiny-minife-sycl-wg4", Platform: "tiny-test", Workload: "minife", Small: true,
 			Model: "sycl", Strategy: "Rm", Tracing: true, Reps: 2, Seed: 46, WGUnits: 4},
+		// Memory-bound runs on the 50-CPU machine: every change in the
+		// number of memory streams re-times the completion of each running
+		// stream task, so these pin the event queue's reschedule-heavy
+		// regime at a wide window.
+		{Name: "a64fx-logwriter-omp-rm", Platform: "a64fx-reserved", Workload: "logwriter",
+			Model: "omp", Strategy: "Rm", Tracing: true, Reps: 2, Seed: 47},
+		{Name: "a64fx-stream-sycl-rm", Platform: "a64fx-reserved", Workload: "babelstream", Small: true,
+			Model: "sycl", Strategy: "Rm", Reps: 2, Seed: 48},
 	}
 }
 
