@@ -374,6 +374,7 @@ func (s *Scheduler) Shutdown() {
 	}
 	if s.balanceTimer != nil {
 		s.balanceTimer.Cancel()
+		s.balanceTimer = nil
 	}
 }
 
@@ -470,19 +471,23 @@ func (s *Scheduler) account(t *Task) {
 }
 
 // refresh recomputes a running task's rate and (re)schedules its segment
-// completion, folding in any pending tracing overhead on its CPU.
+// completion, folding in any pending tracing overhead on its CPU. A
+// pending completion is moved to its new instant rather than cancelled and
+// re-armed, so the re-times recalcMemStreams fans out leave no zombie
+// entries in the event queue.
 func (s *Scheduler) refresh(t *Task) {
 	if t.state != StateRunning {
 		return
 	}
 	s.account(t)
 	t.rate = s.currentRate(t)
-	if t.completion != nil {
-		t.completion.Cancel()
-		t.completion = nil
-	}
 	if t.seg.kind == segSpin || t.rate <= 0 {
-		return // unbounded or paused: completes via external event
+		// Unbounded or paused: completes via external event.
+		if t.completion != nil {
+			t.completion.Cancel()
+			t.completion = nil
+		}
+		return
 	}
 	if c := s.cpus[t.cpu]; c.pendingSteal > 0 {
 		t.remaining += float64(c.pendingSteal) * t.rate
@@ -492,7 +497,7 @@ func (s *Scheduler) refresh(t *Task) {
 	if t.remaining > 0 {
 		d = sim.Time(math.Ceil(t.remaining / t.rate))
 	}
-	t.completion = s.eng.After(d, t.segDoneFn)
+	t.completion = s.eng.Reschedule(t.completion, s.eng.Now()+d, t.segDoneFn)
 }
 
 func (s *Scheduler) cancelTimers(t *Task) {
