@@ -6,9 +6,8 @@ import (
 	"testing/quick"
 )
 
-// TestEnginePendingExact verifies the satellite fix: Pending() counts live
-// timers exactly, with cancellations reaped eagerly instead of lingering as
-// zombies until popped.
+// TestEnginePendingExact verifies Pending() counts live timers exactly:
+// cancelled entries still waiting in the queue as zombies are not counted.
 func TestEnginePendingExact(t *testing.T) {
 	e := NewEngine()
 	var tms []*Timer
