@@ -6,9 +6,11 @@
 // backend dies against the next node on the ring, and streams aggregated
 // live progress over SSE.
 //
-// The coordinator's API mirrors noiselabd's, so the noiselab CLI drives
-// either one unchanged; GET /v1/jobs/{id} additionally reports per-sub-job
-// placement, and GET /v1/ring?key=K shows where a content key lives.
+// The coordinator serves noiselabd's API through the same handler
+// (service.Handler), so the noiselab CLI drives either one unchanged. Only
+// two things differ: a job's status additionally reports per-sub-job
+// placement ("sub_jobs"), and GET /v1/ring?key=K shows where a content key
+// lives. GET /metrics serves the noisefleet_* counters.
 //
 // Usage:
 //

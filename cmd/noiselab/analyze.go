@@ -8,18 +8,15 @@ package main
 // the identical artifact bytes back.
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"net/http"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/analyze"
+	"repro/internal/fleet"
 	"repro/internal/noise"
 	"repro/internal/service"
 )
@@ -93,65 +90,40 @@ func cmdAnalyze(args []string) error {
 	return nil
 }
 
-// analyzeRemote submits the spec to a daemon or coordinator, polls to
-// completion, and fetches the artifact — byte-identical to a local run of
-// the same spec by construction.
+// analyzeRemote submits the spec to a daemon or coordinator, waits for it,
+// and fetches the artifact: byte-identical to a local run of the same spec
+// by construction.
 func analyzeRemote(base string, spec analyze.Spec, out string) error {
-	body, err := json.Marshal(spec)
+	ctx := context.Background()
+	b := &fleet.Backend{Name: base}
+	st, err := b.Submit(ctx, service.JobSpec{Analyze: &spec})
 	if err != nil {
 		return err
 	}
-	resp, err := http.Post(base+"/v1/analyses", "application/json", bytes.NewReader(body))
-	if err != nil {
+	printStatus("analysis", st)
+	if st, err = waitJob(ctx, b, st.ID, false); err != nil {
 		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted {
-		return errBody(resp)
-	}
-	var st service.JobStatus
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return err
-	}
-	fmt.Printf("analysis %s %s cached=%v spec=%s\n", st.ID, st.State, st.Cached, st.SpecHash[:12])
-	for !st.State.Terminal() {
-		time.Sleep(200 * time.Millisecond)
-		code, err := apiGet(base, "/v1/analyses/"+st.ID, &st)
-		if err != nil {
-			return err
-		}
-		if code != http.StatusOK {
-			return fmt.Errorf("status %s: HTTP %d", st.ID, code)
-		}
 	}
 	if st.State != service.StateDone {
 		return fmt.Errorf("analysis %s %s: %s", st.ID, st.State, st.Error)
 	}
-	res, err := http.Get(base + "/v1/analyses/" + st.ID + "/result")
+	enc, err := b.Result(ctx, st.ID)
 	if err != nil {
 		return err
 	}
-	defer res.Body.Close()
-	if res.StatusCode != http.StatusOK {
-		return errBody(res)
-	}
-	var enc bytes.Buffer
-	if _, err := enc.ReadFrom(res.Body); err != nil {
-		return err
-	}
-	art, err := analyze.Decode(enc.Bytes())
+	art, err := analyze.Decode(enc)
 	if err != nil {
 		return err
 	}
 	printAnalysis(art)
 	if out != "" {
-		if err := os.WriteFile(out, enc.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(out, enc, 0o644); err != nil {
 			return err
 		}
-		fmt.Printf("artifact -> %s (%d bytes)\n", out, enc.Len())
+		fmt.Printf("artifact -> %s (%d bytes)\n", out, len(enc))
 	}
 	for _, ref := range art.Timelines {
-		tl, err := fetchBytes(base + "/v1/analyses/" + st.ID + "/timeline/" + ref.Source)
+		tl, err := b.Timeline(ctx, st.ID, ref.Source)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "timeline %s: %v\n", ref.Source, err)
 			continue
@@ -164,22 +136,6 @@ func analyzeRemote(base string, spec analyze.Spec, out string) error {
 			ref.Source, analyze.FormatFactor(ref.Factor), path, ref.Events)
 	}
 	return nil
-}
-
-func fetchBytes(url string) ([]byte, error) {
-	resp, err := http.Get(url)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, errBody(resp)
-	}
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(resp.Body); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
 }
 
 // timelinePath places an evidence file beside the artifact (or in the
@@ -201,7 +157,7 @@ func printAnalysis(art *analyze.Artifact) {
 	fmt.Printf("analysis %s %s/%s %s %s seed=%d: %d sources x %d factors x %d reps = %d runs\n",
 		s.Platform, s.Workload, size, s.Model, s.Strategy, s.Seed,
 		len(art.Sources), len(art.Ladder), art.RepsPerPoint, art.TotalReps)
-	fmt.Printf("model %s  spec %s\n", art.ModelVersion, art.SpecHash[:12])
+	fmt.Printf("model %s  spec %s\n", art.ModelVersion, shortHash(art.SpecHash))
 	fmt.Printf("%-4s %-10s %12s %22s %8s %6s  %s\n",
 		"rank", "source", "slope ms/x", "95% CI", "%/x", "r2", "gated region")
 	for _, e := range art.Ranking {

@@ -1,20 +1,16 @@
 package main
 
-// Client mode: drive a running noiselabd over HTTP. submit posts an
-// experiment spec (optionally waiting for the result), status polls one
+// Client mode: drive a running noiselabd or noisefleet coordinator over
+// HTTP through fleet.Backend, the serving API's one client. submit posts an
+// experiment spec (optionally waiting for the result), status reports one
 // job, get fetches the stored result payload, cancel aborts a job.
 
 import (
-	"bufio"
-	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
-	"net/http"
 	"os"
-	"strings"
-	"time"
 
 	"repro/internal/fleet"
 	"repro/internal/service"
@@ -30,8 +26,8 @@ func serverFlag(fs *flag.FlagSet) *string {
 const fleetDefault = "http://localhost:8733"
 
 // resolveServer picks the target base URL: -fleet retargets an untouched
-// -server at the coordinator's default port (the coordinator's API mirrors
-// noiselabd's, so everything downstream is shared).
+// -server at the coordinator's default port (the coordinator serves
+// noiselabd's API, so everything downstream is shared).
 func resolveServer(fs *flag.FlagSet, server string, fleetMode bool) string {
 	if fleetMode && !flagChanged(fs, "server") {
 		return fleetDefault
@@ -49,220 +45,132 @@ func flagChanged(fs *flag.FlagSet, name string) bool {
 	return changed
 }
 
-// apiGet fetches path and decodes the JSON body into v (when non-nil),
-// returning the status code.
-func apiGet(base, path string, v any) (int, error) {
-	resp, err := http.Get(base + path)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	if v == nil {
-		io.Copy(io.Discard, resp.Body)
-		return resp.StatusCode, nil
-	}
-	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
-		return resp.StatusCode, fmt.Errorf("decoding response: %w", err)
-	}
-	return resp.StatusCode, nil
-}
-
-// errBody extracts the error message of a non-2xx JSON response.
-func errBody(resp *http.Response) error {
-	var e struct {
-		Error string `json:"error"`
-	}
-	body, _ := io.ReadAll(resp.Body)
-	if json.Unmarshal(body, &e) == nil && e.Error != "" {
-		return fmt.Errorf("%s: %s", resp.Status, e.Error)
-	}
-	return fmt.Errorf("%s: %s", resp.Status, bytes.TrimSpace(body))
-}
-
 func cmdSubmit(args []string) error {
 	c := newCommon("submit")
 	server := serverFlag(c.fs)
 	reps := c.fs.Int("reps", 50, "repetitions")
 	size := c.fs.String("size", "", "problem size: default or small")
 	tracing := c.fs.Bool("tracing", false, "record per-rep traces in the result")
-	wait := c.fs.Bool("wait", false, "poll until the job finishes and print the summary")
+	wait := c.fs.Bool("wait", false, "wait until the job finishes and print the summary")
 	fleetMode := c.fs.Bool("fleet", false,
 		"target a noisefleet coordinator (default server becomes "+fleetDefault+"); prints per-shard detail with -wait")
 	events := c.fs.Bool("events", false,
-		"with -wait: follow the job's SSE event stream (live rep progress on stderr) instead of polling")
+		"with -wait: print live rep progress from the job's event stream on stderr")
 	if err := c.fs.Parse(args); err != nil {
 		return err
 	}
-	base := resolveServer(c.fs, *server, *fleetMode)
+	b := &fleet.Backend{Name: resolveServer(c.fs, *server, *fleetMode)}
 	spec := service.JobSpec{
 		Platform: *c.platform, Workload: *c.workload, Model: *c.model,
 		Strategy: *c.strategy, Seed: *c.seed, Reps: *reps, Size: *size,
 		Tracing: *tracing,
 	}
-	body, err := json.Marshal(spec)
+	ctx := context.Background()
+	st, err := b.Submit(ctx, spec)
 	if err != nil {
 		return err
 	}
-	resp, err := http.Post(base+"/v1/jobs", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted {
-		return errBody(resp)
-	}
-	var st service.JobStatus
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return err
-	}
-	fmt.Printf("job %s %s cached=%v spec=%s\n", st.ID, st.State, st.Cached, st.SpecHash[:12])
+	printStatus("job", st)
 	if !*wait {
 		return nil
 	}
-	if *events {
-		if err := followEvents(base, st.ID); err != nil {
-			fmt.Fprintf(os.Stderr, "event stream: %v; falling back to polling\n", err)
-		}
-	}
-	st, err = pollJob(base, st.ID)
-	if err != nil {
+	if st, err = waitJob(ctx, b, st.ID, *events); err != nil {
 		return err
 	}
 	if st.State != service.StateDone {
 		return fmt.Errorf("job %s %s: %s", st.ID, st.State, st.Error)
 	}
 	if *fleetMode {
-		printShards(base, st.ID)
-	}
-	return fetchAndPrint(base, st.ID, "")
-}
-
-// followEvents streams a job's SSE events, echoing progress to stderr, and
-// returns once a terminal state event arrives (or the stream breaks — the
-// caller's status poll then settles the final state).
-func followEvents(server, id string) error {
-	resp, err := http.Get(server + "/v1/jobs/" + id + "/events")
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return errBody(resp)
-	}
-	var event, data string
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, "event: "):
-			event = line[len("event: "):]
-		case strings.HasPrefix(line, "data: "):
-			data = line[len("data: "):]
-		case line == "":
-			switch event {
-			case "progress":
-				var p struct{ Done, Total int }
-				if json.Unmarshal([]byte(data), &p) == nil {
-					fmt.Fprintf(os.Stderr, "\rreps %d/%d", p.Done, p.Total)
-				}
-			case "state":
-				var s struct {
-					State service.JobState `json:"state"`
-				}
-				if json.Unmarshal([]byte(data), &s) == nil && s.State.Terminal() {
-					fmt.Fprintf(os.Stderr, "\rjob %s %s\n", id, s.State)
-					return nil
-				}
-			}
-			event, data = "", ""
+		// A daemon's status carries no sub_jobs, so this prints nothing.
+		for _, s := range st.SubJobs {
+			fmt.Printf("  shard offset=%d reps=%d node=%s job=%s cached=%v retries=%d\n",
+				s.Offset, s.Reps, s.Node, s.JobID, s.Cached, s.Retries)
 		}
 	}
-	return sc.Err()
+	return fetchAndPrint(ctx, b, st.ID, "")
 }
 
-// printShards reports a fleet job's per-sub-job placement (best-effort:
-// non-coordinator servers simply return no sub_jobs).
-func printShards(server, id string) {
-	var st fleet.Status
-	if code, err := apiGet(server, "/v1/jobs/"+id, &st); err != nil || code != http.StatusOK {
-		return
-	}
-	for _, s := range st.SubJobs {
-		fmt.Printf("  shard offset=%d reps=%d node=%s job=%s cached=%v retries=%d\n",
-			s.Offset, s.Reps, s.Node, s.JobID, s.Cached, s.Retries)
-	}
-}
-
-// pollJob polls until the job reaches a terminal state.
-func pollJob(server, id string) (service.JobStatus, error) {
-	for {
-		var st service.JobStatus
-		code, err := apiGet(server, "/v1/jobs/"+id, &st)
-		if err != nil {
-			return st, err
-		}
-		if code != http.StatusOK {
-			return st, fmt.Errorf("status %s: HTTP %d", id, code)
-		}
-		if st.State.Terminal() {
-			return st, nil
-		}
-		time.Sleep(200 * time.Millisecond)
-	}
-}
-
-func cmdStatus(args []string) error {
-	fs := flag.NewFlagSet("status", flag.ExitOnError)
-	server := serverFlag(fs)
-	job := fs.String("job", "", "job ID (required)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *job == "" {
-		return fmt.Errorf("-job is required")
-	}
-	var st service.JobStatus
-	code, err := apiGet(*server, "/v1/jobs/"+*job, &st)
-	if err != nil {
-		return err
-	}
-	if code != http.StatusOK {
-		return fmt.Errorf("HTTP %d", code)
-	}
-	fmt.Printf("job %s %s cached=%v spec=%s", st.ID, st.State, st.Cached, st.SpecHash[:12])
+// printStatus prints a job's status line.
+func printStatus(kind string, st service.JobStatus) {
+	fmt.Printf("%s %s %s cached=%v spec=%s", kind, st.ID, st.State, st.Cached, shortHash(st.SpecHash))
 	if st.Error != "" {
 		fmt.Printf(" error=%q", st.Error)
 	}
 	fmt.Println()
+}
+
+// shortHash abbreviates a spec hash for display. The hash comes from the
+// server, so it may be shorter than the abbreviation.
+func shortHash(h string) string {
+	if len(h) > 12 {
+		return h[:12]
+	}
+	return h
+}
+
+// waitJob follows the job's event stream until it is terminal and returns
+// its final status. With progress, rep completions and the final state are
+// echoed to stderr.
+func waitJob(ctx context.Context, b *fleet.Backend, id string, progress bool) (service.JobStatus, error) {
+	var onProgress func(done, total int)
+	if progress {
+		onProgress = func(done, total int) { fmt.Fprintf(os.Stderr, "\rreps %d/%d", done, total) }
+	}
+	state, err := b.WaitDone(ctx, id, onProgress)
+	if err != nil {
+		return service.JobStatus{}, err
+	}
+	if progress {
+		fmt.Fprintf(os.Stderr, "\rjob %s %s\n", id, state)
+	}
+	return b.Status(ctx, id)
+}
+
+// jobFlags parses the -server and -job flags the single-job commands share.
+func jobFlags(name string, args []string, extra func(*flag.FlagSet)) (*fleet.Backend, string, error) {
+	fs := flag.NewFlagSet(name, flag.ExitOnError)
+	server := serverFlag(fs)
+	job := fs.String("job", "", "job ID (required)")
+	if extra != nil {
+		extra(fs)
+	}
+	if err := fs.Parse(args); err != nil {
+		return nil, "", err
+	}
+	if *job == "" {
+		return nil, "", fmt.Errorf("-job is required")
+	}
+	return &fleet.Backend{Name: *server}, *job, nil
+}
+
+func cmdStatus(args []string) error {
+	b, id, err := jobFlags("status", args, nil)
+	if err != nil {
+		return err
+	}
+	st, err := b.Status(context.Background(), id)
+	if err != nil {
+		return err
+	}
+	printStatus("job", st)
 	return nil
 }
 
 func cmdGet(args []string) error {
-	fs := flag.NewFlagSet("get", flag.ExitOnError)
-	server := serverFlag(fs)
-	job := fs.String("job", "", "job ID (required)")
-	out := fs.String("o", "", "write the raw result JSON to this file instead of summarizing")
-	if err := fs.Parse(args); err != nil {
+	var out *string
+	b, id, err := jobFlags("get", args, func(fs *flag.FlagSet) {
+		out = fs.String("o", "", "write the raw result JSON to this file instead of summarizing")
+	})
+	if err != nil {
 		return err
 	}
-	if *job == "" {
-		return fmt.Errorf("-job is required")
-	}
-	return fetchAndPrint(*server, *job, *out)
+	return fetchAndPrint(context.Background(), b, id, *out)
 }
 
 // fetchAndPrint downloads a result payload and either saves it raw or
 // prints the summary line.
-func fetchAndPrint(server, id, outPath string) error {
-	resp, err := http.Get(server + "/v1/jobs/" + id + "/result")
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return errBody(resp)
-	}
-	data, err := io.ReadAll(resp.Body)
+func fetchAndPrint(ctx context.Context, b *fleet.Backend, id, outPath string) error {
+	data, err := b.Result(ctx, id)
 	if err != nil {
 		return err
 	}
@@ -285,34 +193,14 @@ func fetchAndPrint(server, id, outPath string) error {
 }
 
 func cmdCancel(args []string) error {
-	fs := flag.NewFlagSet("cancel", flag.ExitOnError)
-	server := serverFlag(fs)
-	job := fs.String("job", "", "job ID (required)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *job == "" {
-		return fmt.Errorf("-job is required")
-	}
-	req, err := http.NewRequest(http.MethodDelete, *server+"/v1/jobs/"+*job, nil)
+	b, id, err := jobFlags("cancel", args, nil)
 	if err != nil {
 		return err
 	}
-	resp, err := http.DefaultClient.Do(req)
+	state, err := b.Cancel(context.Background(), id)
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return errBody(resp)
-	}
-	var body struct {
-		ID    string `json:"id"`
-		State string `json:"state"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		return err
-	}
-	fmt.Printf("job %s %s\n", body.ID, body.State)
+	fmt.Printf("job %s %s\n", id, state)
 	return nil
 }

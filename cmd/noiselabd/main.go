@@ -13,13 +13,16 @@
 //	          [-parallel N] [-job-timeout D] [-drain-timeout D]
 //	          [-mem-entries N] [-max-reps N] [-flight-ring N]
 //
-// Observability: GET /metrics serves the service and kernel counters
-// (Prometheus text; ?format=json for JSON), GET /debug/flightrecorder the
-// most recent flight-recorder dumps of failed reps, and
-// GET /v1/jobs/{id}/timeline the Chrome trace-event timeline of a job
-// submitted with "timeline": true.
+// The API (/v1/jobs, /v1/analyses, /healthz) is service.Handler, the one
+// the noisefleet coordinator serves too; DESIGN.md §7 lists every route,
+// status code and error body. The daemon adds observability: GET /metrics
+// serves the service and kernel counters (Prometheus text; ?format=json
+// for JSON), and GET /debug/flightrecorder the most recent flight-recorder
+// dumps of failed reps. GET /v1/jobs/{id}/timeline serves the Chrome
+// trace-event timeline of a job submitted with "timeline": true.
 //
-// Clients: noiselab submit | status | get | cancel (see noiselab -h).
+// Clients: noiselab submit | status | get | cancel | analyze -server
+// (see noiselab -h).
 package main
 
 import (

@@ -30,7 +30,7 @@ func fleetAnalysisSpec(seed uint64) analyze.Spec {
 }
 
 // submitFleetAnalysis posts a bare analysis spec to the coordinator.
-func submitFleetAnalysis(t *testing.T, f *testFleet, spec analyze.Spec, want ...int) Status {
+func submitFleetAnalysis(t *testing.T, f *testFleet, spec analyze.Spec, want ...int) service.JobStatus {
 	t.Helper()
 	body, err := json.Marshal(spec)
 	if err != nil {
@@ -49,7 +49,7 @@ func submitFleetAnalysis(t *testing.T, f *testFleet, spec analyze.Spec, want ...
 	if !ok {
 		t.Fatalf("submit analysis: HTTP %d (want %v): %s", resp.StatusCode, want, data)
 	}
-	var st Status
+	var st service.JobStatus
 	if err := json.Unmarshal(data, &st); err != nil {
 		t.Fatalf("submit analysis: decoding %q: %v", data, err)
 	}

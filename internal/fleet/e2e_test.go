@@ -37,7 +37,7 @@ type testFleet struct {
 type fleetWatcher struct {
 	mu     chan struct{}
 	last   map[string]service.JobState
-	subs   map[string]map[int]SubStatus // job id -> offset -> last sub status
+	subs   map[string]map[int]service.SubStatus // job id -> offset -> last sub status
 	change chan struct{}
 }
 
@@ -45,7 +45,7 @@ func newFleetWatcher(c *Coordinator) *fleetWatcher {
 	w := &fleetWatcher{
 		mu:     make(chan struct{}, 1),
 		last:   make(map[string]service.JobState),
-		subs:   make(map[string]map[int]SubStatus),
+		subs:   make(map[string]map[int]service.SubStatus),
 		change: make(chan struct{}),
 	}
 	w.mu <- struct{}{}
@@ -59,10 +59,10 @@ func newFleetWatcher(c *Coordinator) *fleetWatcher {
 	c.testHookJobUpdate = func(id string, state service.JobState) {
 		pulse(func() { w.last[id] = state })
 	}
-	c.testHookSubUpdate = func(id string, sub SubStatus) {
+	c.testHookSubUpdate = func(id string, sub service.SubStatus) {
 		pulse(func() {
 			if w.subs[id] == nil {
-				w.subs[id] = make(map[int]SubStatus)
+				w.subs[id] = make(map[int]service.SubStatus)
 			}
 			w.subs[id][sub.Offset] = sub
 		})
@@ -141,7 +141,7 @@ func newTestFleet(t *testing.T, n int, backendCfg service.Config, fleetCfg Confi
 }
 
 // submitFleet posts a spec to the coordinator's HTTP API.
-func submitFleet(t *testing.T, ts *httptest.Server, spec service.JobSpec, want ...int) Status {
+func submitFleet(t *testing.T, ts *httptest.Server, spec service.JobSpec, want ...int) service.JobStatus {
 	t.Helper()
 	body, err := json.Marshal(spec)
 	if err != nil {
@@ -160,7 +160,7 @@ func submitFleet(t *testing.T, ts *httptest.Server, spec service.JobSpec, want .
 	if !ok {
 		t.Fatalf("submit: HTTP %d (want %v): %s", resp.StatusCode, want, data)
 	}
-	var st Status
+	var st service.JobStatus
 	if err := json.Unmarshal(data, &st); err != nil {
 		t.Fatalf("submit: decoding %q: %v", data, err)
 	}
@@ -342,7 +342,7 @@ func TestFleetCacheHitZeroExecutions(t *testing.T) {
 	// Resubmit: the coordinator's merged cache answers at submit time.
 	st2 := submitFleet(t, f.coordTS, spec, http.StatusOK)
 	if st2.State != service.StateDone || !st2.Cached {
-		t.Fatalf("resubmission not served from merged cache: %+v", st2.JobStatus)
+		t.Fatalf("resubmission not served from merged cache: %+v", st2)
 	}
 	if !bytes.Equal(payload1, fetchFleetResult(t, f.coordTS, st2.ID)) {
 		t.Fatal("merged-cache payload not byte-identical")
@@ -517,7 +517,7 @@ func TestFleetTimeline(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	wantTL, _, _ := srv.Timeline(job.ID)
+	wantTL, _, _ := srv.Timeline(job.ID, "")
 	if len(wantTL) == 0 {
 		t.Fatal("single-node run recorded no timeline")
 	}
